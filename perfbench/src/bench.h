@@ -69,21 +69,42 @@ void SetEndToEnd(RunResult* out, const std::vector<double>& latencies_ms,
                  double busy_s, double cpu_ms, double peak_rss_mib,
                  double setup_s);
 
-/// Runs `setup` `repeats` times and returns the median duration in seconds;
-/// the state built by the last repetition is the one the run uses.
-template <typename F>
-double MedianSetupSeconds(int repeats, F&& setup) {
-  std::vector<double> times;
-  for (int i = 0; i < repeats; ++i) {
+/// How many times an in-process run times its set-up (setup_s is the
+/// median). Set-up takes milliseconds there, so many repetitions are cheap.
+inline constexpr int kSetupRepeats = 41;
+
+/// Times an in-process workload's set-up kSetupRepeats times. The first
+/// repetition builds the state the run uses; the others build throwaway
+/// copies, spread evenly over the measured part between its timed calls
+/// (whenever Due() says so), and any still missing when it ends run after
+/// it. The host has slow phases of a fraction of a second to seconds;
+/// spreading the repetitions keeps one such phase from setting the median.
+class SetupTimer {
+ public:
+  /// Times one set-up.
+  template <typename F>
+  void Time(F&& setup) {
     const int64_t start = NowNs();
     setup();
-    times.push_back(double(NowNs() - start) / 1e9);
+    const int64_t end = NowNs();
+    times_.push_back(double(end - start) / 1e9);
+    next_ns_ = end + interval_ns_;
   }
-  return Median(times);
-}
+  /// Spreads the remaining repetitions over the next `seconds`.
+  void Spread(double seconds) {
+    interval_ns_ = int64_t(seconds * 1e9 / kSetupRepeats);
+    next_ns_ = NowNs() + interval_ns_;
+  }
+  bool Due() const { return !Done() && NowNs() >= next_ns_; }
+  bool Done() const { return times_.size() >= size_t(kSetupRepeats); }
+  double MedianSeconds() const;
 
-/// How many times each run repeats its set-up (setup_s is their median).
-inline constexpr int kSetupRepeats = 5;
+ private:
+  std::vector<double> times_;
+  int64_t interval_ns_ = 0;
+  int64_t next_ns_ = 0;
+};
+
 /// Traced in-process runs make every kAllocSample-th engine call with the
 /// heap-allocation counter on, and leave it out of the timing comparison.
 inline constexpr int kAllocSample = 4;

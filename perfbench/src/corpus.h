@@ -17,7 +17,8 @@ namespace perfbench {
 /// (so Q1 has at most 6) and a quarter of the pairs are contained; the
 /// generator's defaults otherwise (2 relations of arity ≤ 2, up to 2 extra
 /// atoms). Every pair's verdict is known by construction. README.md says
-/// why these two settings differ from the defaults.
+/// why these two settings differ from the defaults; decide_acyclic adds
+/// 4-variable pairs back through a fixed panel.
 bagcq::cq::WorkloadOptions CorpusOptions(uint64_t seed);
 
 /// The first `pairs` pairs of that seed's generator stream.

@@ -1,5 +1,6 @@
 // decide_acyclic: Engine::Decide run serially in-process, memo off, over an
-// acyclic-regime generator corpus. The traced run decides every pair twice,
+// acyclic-regime generator corpus, in rounds that also hold a fixed panel of
+// 4-variable power-gadget pairs. The traced run decides every pair twice,
 // once with the untraced Engine::Decide and once through TracedDecide, a
 // copy of core::DecideBagContainmentWithContext's call sequence with a span
 // around each layer's call; the two verdicts must agree.
@@ -211,34 +212,91 @@ util::Result<core::Verdict> TracedDecide(const cq::ConjunctiveQuery& q1_in,
 
 }  // namespace
 
-RunResult RunDecideAcyclic(const Args& args) {
-  RunResult out;
-  // Set-up draws the first kSetupPairs pairs of the seeded stream; past
-  // them, pairs are drawn as the run goes, outside the timed calls, so a
-  // run decides as many distinct pairs as fit.
-  constexpr size_t kSetupPairs = 2000;
-  const cq::WorkloadOptions corpus_options = CorpusOptions(args.seed);
+namespace {
+
+/// A round is kRoundBlocks blocks. Each block is kBlockPairs pairs drawn
+/// from the seed's stream followed by one pair of the power panel, so every
+/// round holds the whole panel, evenly spread.
+constexpr size_t kBlockPairs = 15;
+constexpr size_t kRoundBlocks = 128;
+constexpr size_t kRoundOps = kRoundBlocks * (kBlockPairs + 1);
+/// The power panel: the first kRoundBlocks power-gadget pairs of the
+/// 4-variable refutation stream of generator seed kPanelSeed. README.md
+/// says why it is fixed rather than drawn from the run's seed.
+constexpr uint64_t kPanelSeed = 1;
+
+std::vector<cq::GeneratedPair> PowerPanel() {
+  cq::WorkloadOptions options = CorpusOptions(kPanelSeed);
+  options.min_vars = 4;
+  options.max_vars = 4;
+  options.contained_fraction = 0.0;
+  cq::WorkloadGenerator generator(options);
+  std::vector<cq::GeneratedPair> panel;
+  while (panel.size() < kRoundBlocks) {
+    cq::GeneratedPair pair = generator.Next();
+    // A refutation is a vocabulary-mismatch or a power-gadget pair; the
+    // power gadget's Q1 is two disjoint copies of Q2.
+    if (pair.pair.q1.num_vars() == 2 * pair.pair.q2.num_vars()) {
+      panel.push_back(std::move(pair));
+    }
+  }
+  return panel;
+}
+
+/// Everything set-up builds.
+struct DecideState {
   std::unique_ptr<cq::WorkloadGenerator> generator;
-  std::vector<cq::GeneratedPair> drawn;
+  /// The first round's pairs from the seed's stream.
+  std::vector<cq::GeneratedPair> first_round;
+  std::vector<cq::GeneratedPair> panel;
   std::unique_ptr<api::Engine> engine;
   double prover_build_ms = 0.0;
-  const double setup_s = MedianSetupSeconds(kSetupRepeats, [&] {
-    generator = std::make_unique<cq::WorkloadGenerator>(corpus_options);
-    drawn = generator->Generate(kSetupPairs);
-    engine = std::make_unique<api::Engine>(api::EngineOptions());
-    // Contained pairs keep Q2's variable set, so their Shannon certificates
-    // need Γn for n in Q2's range; build those skeletons before timing.
-    const int64_t start = NowNs();
-    for (int n = corpus_options.min_vars; n <= corpus_options.max_vars; ++n) {
-      engine->prover(n);
-    }
-    prover_build_ms = double(NowNs() - start) / 1e6;
-  });
+};
 
-  size_t next_drawn = 0;
-  auto next_pair = [&]() -> cq::GeneratedPair {
-    return next_drawn < drawn.size() ? std::move(drawn[next_drawn++])
-                                     : generator->Next();
+DecideState SetUpDecide(const cq::WorkloadOptions& corpus_options) {
+  DecideState state;
+  state.generator = std::make_unique<cq::WorkloadGenerator>(corpus_options);
+  state.first_round = state.generator->Generate(kRoundBlocks * kBlockPairs);
+  state.panel = PowerPanel();
+  state.engine = std::make_unique<api::Engine>(api::EngineOptions());
+  // Contained pairs keep Q2's variable set, so their Shannon certificates
+  // need Γn for n in Q2's range; build those skeletons before timing.
+  const int64_t start = NowNs();
+  for (int n = corpus_options.min_vars; n <= corpus_options.max_vars; ++n) {
+    state.engine->prover(n);
+  }
+  state.prover_build_ms = double(NowNs() - start) / 1e6;
+  return state;
+}
+
+}  // namespace
+
+RunResult RunDecideAcyclic(const Args& args) {
+  RunResult out;
+  // Set-up draws the first round; later rounds are drawn as the run goes,
+  // outside the timed calls, so a run decides as many distinct pairs as
+  // fit. A run decides whole rounds.
+  const cq::WorkloadOptions corpus_options = CorpusOptions(args.seed);
+  SetupTimer setup;
+  DecideState state;
+  setup.Time([&] { state = SetUpDecide(corpus_options); });
+  setup.Spread(args.seconds);
+  auto repeat_setup = [&] {
+    DecideState scratch;
+    setup.Time([&] { scratch = SetUpDecide(corpus_options); });
+  };
+  api::Engine* engine = state.engine.get();
+
+  std::vector<cq::GeneratedPair> round = std::move(state.first_round);
+  auto next_round = [&] {
+    if (round.empty()) round = state.generator->Generate(kRoundBlocks * kBlockPairs);
+  };
+  // The pair decided as operation `op` of the current round.
+  auto round_pair = [&](size_t op) -> const cq::GeneratedPair& {
+    const size_t block = op / (kBlockPairs + 1);
+    const size_t slot = op % (kBlockPairs + 1);
+    return slot == kBlockPairs ? state.panel[block]
+                               : round[block * kBlockPairs + slot];
   };
   const int64_t deadline = NowNs() + int64_t(args.seconds * 1e9);
   auto check = [&](const cq::GeneratedPair& pair,
@@ -257,18 +315,24 @@ RunResult RunDecideAcyclic(const Args& args) {
     double busy_ns = 0.0;
     double cpu_ms = 0.0;
     while (NowNs() < deadline) {
-      const cq::GeneratedPair pair = next_pair();
-      const double cpu_start = ThreadCpuMs();
-      const int64_t start = NowNs();
-      auto result = engine->Decide(pair.pair.q1, pair.pair.q2);
-      const int64_t end = NowNs();
-      cpu_ms += ThreadCpuMs() - cpu_start;
-      busy_ns += double(end - start);
-      latencies_ms.push_back(double(end - start) / 1e6);
-      check(pair, result);
+      next_round();
+      for (size_t op = 0; op < kRoundOps; ++op) {
+        const cq::GeneratedPair& pair = round_pair(op);
+        const double cpu_start = ThreadCpuMs();
+        const int64_t start = NowNs();
+        auto result = engine->Decide(pair.pair.q1, pair.pair.q2);
+        const int64_t end = NowNs();
+        cpu_ms += ThreadCpuMs() - cpu_start;
+        busy_ns += double(end - start);
+        latencies_ms.push_back(double(end - start) / 1e6);
+        check(pair, result);
+        if (setup.Due()) repeat_setup();
+      }
+      round.clear();
     }
+    while (!setup.Done()) repeat_setup();
     SetEndToEnd(&out, latencies_ms, busy_ns / 1e9, cpu_ms, PeakRssMib(),
-                setup_s);
+                setup.MedianSeconds());
     return out;
   }
 
@@ -294,38 +358,43 @@ RunResult RunDecideAcyclic(const Args& args) {
   alloc::Counts allocs;
   int64_t alloc_calls = 0;
   while (NowNs() < deadline) {
-    const cq::GeneratedPair pair = next_pair();
-    tracer.set_request(static_cast<uint32_t>(traced_ops));
-    util::Result<core::Verdict> traced = core::Verdict::kUnknown;
-    int64_t traced_call_ns = 0;
-    auto run_traced = [&] {
-      const int64_t start = NowNs();
-      traced = TracedDecide(pair.pair.q1, pair.pair.q2, decider_options,
-                            &provers, solver.get(), &tracer, &counts);
-      traced_call_ns = NowNs() - start;
-    };
-    // Alternate which of the two runs first, so neither always finds the
-    // caches warmed by the other.
-    if (traced_ops % 2 == 1) run_traced();
-    util::Result<api::DecisionResult> result = util::Status::Internal("unset");
-    const bool count_allocs = traced_ops % kAllocSample == 0;
-    if (count_allocs) {
-      allocs += alloc::CountDuring(
-          [&] { result = engine->Decide(pair.pair.q1, pair.pair.q2); });
-      ++alloc_calls;
-    } else {
-      const int64_t start = NowNs();
-      result = engine->Decide(pair.pair.q1, pair.pair.q2);
-      engine_ns += NowNs() - start;
+    next_round();
+    for (size_t op = 0; op < kRoundOps; ++op) {
+      const cq::GeneratedPair& pair = round_pair(op);
+      tracer.set_request(static_cast<uint32_t>(traced_ops));
+      util::Result<core::Verdict> traced = core::Verdict::kUnknown;
+      int64_t traced_call_ns = 0;
+      auto run_traced = [&] {
+        const int64_t start = NowNs();
+        traced = TracedDecide(pair.pair.q1, pair.pair.q2, decider_options,
+                              &provers, solver.get(), &tracer, &counts);
+        traced_call_ns = NowNs() - start;
+      };
+      // Alternate which of the two runs first, so neither always finds the
+      // caches warmed by the other.
+      if (traced_ops % 2 == 1) run_traced();
+      util::Result<api::DecisionResult> result =
+          util::Status::Internal("unset");
+      const bool count_allocs = traced_ops % kAllocSample == 0;
+      if (count_allocs) {
+        allocs += alloc::CountDuring(
+            [&] { result = engine->Decide(pair.pair.q1, pair.pair.q2); });
+        ++alloc_calls;
+      } else {
+        const int64_t start = NowNs();
+        result = engine->Decide(pair.pair.q1, pair.pair.q2);
+        engine_ns += NowNs() - start;
+      }
+      if (traced_ops % 2 == 0) run_traced();
+      if (!count_allocs) traced_ns += traced_call_ns;
+      ++traced_ops;
+      check(pair, result);
+      if (result.ok() && (!traced.ok() || *traced != result->verdict)) {
+        out.Wrong("traced decision disagrees with Engine::Decide on " +
+                  cq::ToBatchLine(pair.pair));
+      }
     }
-    if (traced_ops % 2 == 0) run_traced();
-    if (!count_allocs) traced_ns += traced_call_ns;
-    ++traced_ops;
-    check(pair, result);
-    if (result.ok() && (!traced.ok() || *traced != result->verdict)) {
-      out.Wrong("traced decision disagrees with Engine::Decide on " +
-                cq::ToBatchLine(pair.pair));
-    }
+    round.clear();
   }
 
   const auto totals = tracer.Totals();
@@ -352,7 +421,7 @@ RunResult RunDecideAcyclic(const Args& args) {
           self_ns("entropy.maxii_normal") / ops / 1e6, "ms");
   out.Set("entropy.maxii_gamma_ms", self_ns("entropy.maxii_gamma") / ops / 1e6,
           "ms");
-  out.Set("entropy.prover_build_ms", prover_build_ms, "ms");
+  out.Set("entropy.prover_build_ms", state.prover_build_ms, "ms");
   SetLpMetrics(&out, *solver, self_ns("lp.solve"), ops);
   out.Set("alloc.count_per_op", double(allocs.count) / double(alloc_calls),
           "count");

@@ -63,6 +63,8 @@ double Percentile(std::vector<double> values, double q) {
 
 double Median(std::vector<double> values) { return Percentile(values, 0.5); }
 
+double SetupTimer::MedianSeconds() const { return Median(times_); }
+
 void SetEndToEnd(RunResult* out, const std::vector<double>& latencies_ms,
                  double busy_s, double cpu_ms, double peak_rss_mib,
                  double setup_s) {

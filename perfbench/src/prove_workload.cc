@@ -240,21 +240,35 @@ RunResult RunProveShannon(const Args& args) {
   // Set-up draws the first kSetupRounds rounds; later ones are drawn as the
   // run goes, outside the timed calls.
   constexpr size_t kSetupRounds = 40;
-  std::unique_ptr<InstanceStream> stream;
-  std::deque<std::vector<Instance>> drawn;
-  std::unique_ptr<api::Engine> engine;
-  double prover_build_ms = 0.0;
-  const double setup_s = MedianSetupSeconds(kSetupRepeats, [&] {
-    stream = std::make_unique<InstanceStream>(args.seed);
-    drawn.clear();
+  struct ProveState {
+    std::unique_ptr<InstanceStream> stream;
+    std::deque<std::vector<Instance>> drawn;
+    std::unique_ptr<api::Engine> engine;
+    double prover_build_ms = 0.0;
+  };
+  auto set_up = [&args] {
+    ProveState state;
+    state.stream = std::make_unique<InstanceStream>(args.seed);
     for (size_t r = 0; r < kSetupRounds; ++r) {
-      drawn.push_back(stream->NextRound());
+      state.drawn.push_back(state.stream->NextRound());
     }
-    engine = std::make_unique<api::Engine>(api::EngineOptions());
+    state.engine = std::make_unique<api::Engine>(api::EngineOptions());
     const int64_t start = NowNs();
-    for (int n = kMinVars; n <= kMaxVars; ++n) engine->prover(n);
-    prover_build_ms = double(NowNs() - start) / 1e6;
-  });
+    for (int n = kMinVars; n <= kMaxVars; ++n) state.engine->prover(n);
+    state.prover_build_ms = double(NowNs() - start) / 1e6;
+    return state;
+  };
+  SetupTimer setup;
+  ProveState state;
+  setup.Time([&] { state = set_up(); });
+  setup.Spread(args.seconds);
+  auto repeat_setup = [&] {
+    ProveState scratch;
+    setup.Time([&] { scratch = set_up(); });
+  };
+  InstanceStream* stream = state.stream.get();
+  std::deque<std::vector<Instance>>& drawn = state.drawn;
+  api::Engine* engine = state.engine.get();
 
   // Before a round runs, the reference: every generated invalid instance is
   // negative at the fixed polymatroid 1 − 2^−|S| (Zhang–Yeung, valid there,
@@ -304,10 +318,12 @@ RunResult RunProveShannon(const Args& args) {
         busy_ns += double(end - start);
         latencies_ms.push_back(double(end - start) / 1e6);
         check(instance, result);
+        if (setup.Due()) repeat_setup();
       }
     }
+    while (!setup.Done()) repeat_setup();
     SetEndToEnd(&out, latencies_ms, busy_ns / 1e9, cpu_ms, PeakRssMib(),
-                setup_s);
+                setup.MedianSeconds());
     return out;
   }
 
@@ -382,7 +398,7 @@ RunResult RunProveShannon(const Args& args) {
   SetLpMetrics(&out, *solver,
                lp_span == totals.end() ? 0.0 : double(lp_span->second.self_ns),
                double(ops));
-  out.Set("entropy.prover_build_ms", prover_build_ms, "ms");
+  out.Set("entropy.prover_build_ms", state.prover_build_ms, "ms");
   out.Set("alloc.count_per_op", double(allocs.count) / double(alloc_calls),
           "count");
   out.Set("alloc.bytes_per_op", double(allocs.bytes) / double(alloc_calls),

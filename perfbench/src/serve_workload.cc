@@ -4,9 +4,10 @@
 // re-streams it as DecideBatchStream chunks over one connection, so every
 // pair is a memo hit and no LP runs.
 //
-// Replies are kept as raw frames while a pass is timed and checked after
-// it: every first answer against the generator's constructed verdict,
-// every repeat byte for byte (per-call cost counters excluded) against the
+// A pass is timed as a client sees it: each chunk is encoded as it is sent
+// and each reply decoded as it arrives. The decoded answers are checked
+// after the pass: every first answer against the generator's constructed
+// verdict, every repeat byte for byte (CallStats excluded) against the
 // first answer for that pair.
 #include <fcntl.h>
 #include <signal.h>
@@ -195,14 +196,10 @@ util::Result<service::StatsResponse> ReadStats(int fd) {
   return *stats;
 }
 
-/// A decision's wire encoding with its per-call cost counters zeroed: what
-/// must be identical every time a pair is served. Besides CallStats, the
-/// Max-II result carries its own pivot count, which depends on the
-/// answering engine's warm-start state rather than on the question (see
-/// README.md, "Findings").
+/// A decision's wire encoding with its per-call cost counters (CallStats)
+/// zeroed: what must be identical every time a pair is served.
 std::string AnswerBytes(api::DecisionResult result) {
   result.stats = api::CallStats{};
-  if (result.validity.has_value()) result.validity->lp_pivots = 0;
   wire::Encoder encoder;
   wire::EncodeDecisionResult(result, &encoder);
   return encoder.Take();
@@ -278,76 +275,89 @@ void SetInProcessLayers(RunResult* out,
 
 // ---------------------------------------------------------- serve_replay
 
-constexpr size_t kReplayPairs = 6000;
+/// Chunk size and window of `bagcq_client batch --stream`: 512 pairs a
+/// chunk, at most 8 chunks in flight.
+constexpr size_t kChunkPairs = 512;
+constexpr size_t kWindow = 8;
+constexpr size_t kReplayPairs = 16 * kChunkPairs;
 /// Set-up (server start plus a cold pass over the corpus) is repeated this
 /// many times; setup_s is the median.
-constexpr int kReplaySetupRepeats = 3;
-constexpr size_t kChunkPairs = 32;
-constexpr size_t kWindow = 8;
+constexpr int kReplaySetupRepeats = 5;
 
-/// The corpus cut into stream chunks, as frames.
-std::vector<std::string> EncodeChunks(
-    const std::vector<cq::GeneratedPair>& corpus, Tracer* tracer) {
-  std::vector<std::string> frames;
+/// The corpus cut into stream chunks.
+std::vector<service::DecideBatchStreamRequest> MakeChunks(
+    const std::vector<cq::GeneratedPair>& corpus) {
+  std::vector<service::DecideBatchStreamRequest> chunks;
   for (size_t first = 0; first < corpus.size(); first += kChunkPairs) {
     service::DecideBatchStreamRequest chunk;
     chunk.first_index = first;
     const size_t end = std::min(corpus.size(), first + kChunkPairs);
     for (size_t i = first; i < end; ++i) chunk.pairs.push_back(corpus[i].pair);
     chunk.final_chunk = end == corpus.size();
-    ScopedSpan span(tracer, "wire.encode_request");
-    frames.push_back(service::EncodeRequest(chunk));
+    chunks.push_back(std::move(chunk));
   }
-  return frames;
+  return chunks;
 }
 
-/// Streams every chunk with at most kWindow in flight. Replies come back in
-/// order; each chunk's round trip (send to reply) is recorded.
-util::Status StreamPass(int fd, const std::vector<std::string>& frames,
-                        std::vector<std::string>* replies,
-                        std::vector<double>* chunk_ms) {
-  replies->assign(frames.size(), std::string());
-  chunk_ms->assign(frames.size(), 0.0);
-  std::vector<int64_t> sent(frames.size(), 0);
+/// One streamed pass over the corpus: the decoded reply of each chunk, each
+/// chunk's latency and the reply bytes.
+struct Pass {
+  std::vector<util::Result<service::Response>> decoded;
+  std::vector<double> chunk_ms;
+  size_t reply_bytes = 0;
+};
+
+/// Streams every chunk as `bagcq_client batch --stream` does: a chunk is
+/// encoded just before it is sent, at most kWindow are in flight, and each
+/// reply is decoded as soon as it is read. A chunk's latency runs from the
+/// start of its encoding to the end of its reply's decoding.
+util::Status StreamPass(int fd,
+                        const std::vector<service::DecideBatchStreamRequest>&
+                            chunks,
+                        Tracer* tracer, Pass* pass) {
+  pass->decoded.clear();
+  pass->decoded.reserve(chunks.size());
+  pass->chunk_ms.assign(chunks.size(), 0.0);
+  pass->reply_bytes = 0;
+  std::vector<int64_t> started(chunks.size(), 0);
+  std::string frame;
+  std::string reply;
   size_t next_send = 0;
-  for (size_t next_reply = 0; next_reply < frames.size(); ++next_reply) {
-    while (next_send < frames.size() && next_send < next_reply + kWindow) {
-      sent[next_send] = NowNs();
-      BAGCQ_RETURN_NOT_OK(service::WriteFrame(fd, frames[next_send]));
+  for (size_t next_reply = 0; next_reply < chunks.size(); ++next_reply) {
+    while (next_send < chunks.size() && next_send < next_reply + kWindow) {
+      started[next_send] = NowNs();
+      {
+        ScopedSpan span(tracer, "wire.encode_request");
+        frame = service::EncodeRequest(chunks[next_send]);
+      }
+      BAGCQ_RETURN_NOT_OK(service::WriteFrame(fd, frame));
       ++next_send;
     }
     bool eof = false;
-    BAGCQ_RETURN_NOT_OK(service::ReadFrame(fd, &(*replies)[next_reply], &eof));
+    BAGCQ_RETURN_NOT_OK(service::ReadFrame(fd, &reply, &eof));
     if (eof) return util::Status::Internal("server closed the stream");
-    (*chunk_ms)[next_reply] = double(NowNs() - sent[next_reply]) / 1e6;
+    pass->reply_bytes += reply.size();
+    {
+      ScopedSpan span(tracer, "wire.decode_response");
+      pass->decoded.push_back(service::DecodeResponse(reply));
+    }
+    pass->chunk_ms[next_reply] = double(NowNs() - started[next_reply]) / 1e6;
   }
   return util::Status::OK();
 }
 
-using Decoded = std::vector<util::Result<service::Response>>;
-
-/// Decodes one pass's chunk replies, each in a "wire.decode_response" span.
-Decoded DecodeReplies(const std::vector<std::string>& replies,
-                      Tracer* tracer) {
-  Decoded decoded;
-  for (const std::string& reply : replies) {
-    ScopedSpan span(tracer, "wire.decode_response");
-    decoded.push_back(service::DecodeResponse(reply));
-  }
-  return decoded;
-}
-
-/// Checks every pair of one decoded pass.
-void CheckReplayPass(const Decoded& decoded,
+/// Checks every pair of one pass.
+void CheckReplayPass(const Pass& pass,
                      const std::vector<cq::GeneratedPair>& corpus,
                      const std::vector<std::string>& keys,
                      AnswerChecker* checker, RunResult* out) {
-  for (size_t c = 0; c < decoded.size(); ++c) {
+  for (size_t c = 0; c < pass.decoded.size(); ++c) {
     const size_t first = c * kChunkPairs;
     const size_t count = std::min(kChunkPairs, corpus.size() - first);
-    auto* chunk = decoded[c].ok()
-                      ? std::get_if<service::BatchChunkResponse>(&*decoded[c])
-                      : nullptr;
+    auto* chunk =
+        pass.decoded[c].ok()
+            ? std::get_if<service::BatchChunkResponse>(&*pass.decoded[c])
+            : nullptr;
     if (chunk == nullptr || chunk->first_index != first ||
         chunk->results.size() != count) {
       out->attempted += int64_t(count);
@@ -367,10 +377,10 @@ RunResult RunServeReplay(const Args& args) {
   const std::string socket_path = args.workdir + "/replay.sock";
   const std::string log_path = args.workdir + "/server-serve_replay.log";
   std::vector<cq::GeneratedPair> corpus;
-  std::vector<std::string> frames;
+  std::vector<service::DecideBatchStreamRequest> chunks;
   ServerProcess server;
   int fd = -1;
-  std::vector<std::string> fill_replies;
+  Pass fill;
   std::vector<double> setup_times;
   std::vector<double> ready_times;
   for (int rep = 0; rep < kReplaySetupRepeats; ++rep) {
@@ -378,14 +388,13 @@ RunResult RunServeReplay(const Args& args) {
     server.Stop();
     const int64_t start = NowNs();
     corpus = AcyclicCorpus(args.seed, kReplayPairs);
-    frames = EncodeChunks(corpus, nullptr);
+    chunks = MakeChunks(corpus);
     auto ready = server.Start(args.server, socket_path, {}, log_path);
     auto dialed = ready.ok() ? service::DialUnix(socket_path)
                              : util::Result<int>(ready.status());
-    std::vector<double> ignored;
-    const util::Status filled =
-        dialed.ok() ? StreamPass(*dialed, frames, &fill_replies, &ignored)
-                    : dialed.status();
+    const util::Status filled = dialed.ok()
+                                    ? StreamPass(*dialed, chunks, nullptr, &fill)
+                                    : dialed.status();
     if (!filled.ok()) {
       std::fprintf(stderr, "serve_replay set-up: %s\n",
                    filled.ToString().c_str());
@@ -399,8 +408,7 @@ RunResult RunServeReplay(const Args& args) {
   std::vector<std::string> keys;
   for (const cq::GeneratedPair& pair : corpus) keys.push_back(PairKey(pair.pair));
   AnswerChecker checker(&out);
-  CheckReplayPass(DecodeReplies(fill_replies, nullptr), corpus, keys,
-                  &checker, &out);
+  CheckReplayPass(fill, corpus, keys, &checker, &out);
   // The fill pass is set-up: its answers are the references, not operations.
   const int64_t fill_attempted = out.attempted;
   const int64_t fill_failed = out.failed;
@@ -419,21 +427,14 @@ RunResult RunServeReplay(const Args& args) {
   double busy_ns = 0.0;
   double client_cpu_ms = 0.0;
   size_t reply_bytes = 0;
+  Pass pass;
   const int64_t deadline = NowNs() + int64_t(args.seconds * 1e9);
   while (NowNs() < deadline) {
-    std::vector<std::string> replies;
-    std::vector<double> chunk_ms;
+    // The pass is timed whole, encoding and decoding included, as a client
+    // sees it; only the answer checks run outside the clock.
     const double cpu_start = ProcessCpuMs();
     const int64_t start = NowNs();
-    // A traced pass encodes its chunks and decodes its replies inline, as a
-    // client would; an untraced pass streams the pre-encoded frames and
-    // decodes after the clock stops.
-    const std::vector<std::string> traced_frames =
-        tracer ? EncodeChunks(corpus, tracer.get()) : std::vector<std::string>();
-    util::Status status =
-        StreamPass(fd, tracer ? traced_frames : frames, &replies, &chunk_ms);
-    Decoded decoded;
-    if (tracer && status.ok()) decoded = DecodeReplies(replies, tracer.get());
+    const util::Status status = StreamPass(fd, chunks, tracer.get(), &pass);
     busy_ns += double(NowNs() - start);
     client_cpu_ms += ProcessCpuMs() - cpu_start;
     if (!status.ok()) {
@@ -442,13 +443,12 @@ RunResult RunServeReplay(const Args& args) {
       out.failed += int64_t(corpus.size());
       break;
     }
-    for (size_t c = 0; c < chunk_ms.size(); ++c) {
+    for (size_t c = 0; c < pass.chunk_ms.size(); ++c) {
       const size_t count = std::min(kChunkPairs, corpus.size() - c * kChunkPairs);
-      latencies_ms.insert(latencies_ms.end(), count, chunk_ms[c]);
-      reply_bytes += replies[c].size();
+      latencies_ms.insert(latencies_ms.end(), count, pass.chunk_ms[c]);
     }
-    if (!tracer) decoded = DecodeReplies(replies, nullptr);
-    CheckReplayPass(decoded, corpus, keys, &checker, &out);
+    reply_bytes += pass.reply_bytes;
+    CheckReplayPass(pass, corpus, keys, &checker, &out);
   }
   const double server_cpu_ms = server.CpuMs() - server_cpu_before;
   const double server_rss_mib = server.PeakRssMib();
@@ -487,6 +487,10 @@ RunResult RunServeReplay(const Args& args) {
   out.Set("api.memo_hit_ratio", decisions > 0 ? memo_hits / decisions : 0.0,
           "ratio");
   out.Set("wire.bytes_per_decision", double(reply_bytes) / ops, "B");
+  std::vector<std::string> frames;
+  for (const service::DecideBatchStreamRequest& chunk : chunks) {
+    frames.push_back(service::EncodeRequest(chunk));
+  }
   SetInProcessLayers(&out, corpus, frames);
   const auto totals = tracer->Totals();
   auto per_op_us = [&](const char* name) {
