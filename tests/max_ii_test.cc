@@ -1,6 +1,8 @@
 #include "entropy/max_ii.h"
 
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -127,11 +129,21 @@ TEST(MaxIIOracleTest, ValidityIsMonotoneInBranches) {
 // *unconditioned* branches, validity over Mn must coincide with Γn.
 // ---------------------------------------------------------------------------
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest names
+// each case after that print. `name_bytes` fills what would otherwise be
+// uninitialised padding, so the names no longer change from one run of test
+// discovery to the next. Its values are a one-off freeze of the names the
+// cases were first listed under (bytes that padding happened to hold then);
+// they mean nothing to the test. A PrintTo or a name generator would give
+// meaningful names at the cost of renaming every case once.
 struct SweepParams {
   int seed;
   int n;
   bool unconditioned;
+  uint8_t name_bytes[3];
 };
+static_assert(std::has_unique_object_representations_v<SweepParams>,
+              "SweepParams must have no padding bytes");
 
 class Theorem36Sweep : public ::testing::TestWithParam<SweepParams> {};
 
@@ -173,10 +185,10 @@ TEST_P(Theorem36Sweep, ConeEquivalenceHolds) {
 std::vector<SweepParams> MakeSweep() {
   std::vector<SweepParams> out;
   for (int seed = 1; seed <= 20; ++seed) {
-    out.push_back({seed, 3, false});
-    out.push_back({seed, 3, true});
-    out.push_back({seed + 100, 4, false});
-    out.push_back({seed + 100, 4, true});
+    out.push_back({seed, 3, false, {0x00, 0, 0}});
+    out.push_back({seed, 3, true, {0x56, 0, 0}});
+    out.push_back({seed + 100, 4, false, {0x56, 0, 0}});
+    out.push_back({seed + 100, 4, true, {0x56, 0, 0}});
   }
   return out;
 }
