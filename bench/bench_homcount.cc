@@ -1,15 +1,21 @@
 // P3: homomorphism counting — generic backtracking vs Yannakakis-style
 // join-tree DP on acyclic (path) queries over random graphs. The DP is
 // polynomial in |D| while backtracking can be exponential in the query
-// length; the crossover is the point the bench exhibits.
+// length; the crossover is the point the bench exhibits. The PowerWitness
+// row counts a witness database the way the decider verifies it.
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <tuple>
 
+#include "api/engine.h"
 #include "cq/agm.h"
+#include "cq/exact_count.h"
 #include "cq/homomorphism.h"
 #include "cq/parser.h"
+#include "cq/transforms.h"
 #include "cq/treewidth_count.h"
+#include "cq/workload.h"
 #include "cq/yannakakis.h"
 
 namespace {
@@ -89,6 +95,59 @@ void BM_TriangleTreewidthDp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TriangleTreewidthDp)->RangeMultiplier(2)->Range(8, 32);
+
+// A heavy witness: the first power-gadget pair (Q1 = two disjoint copies of
+// a 4-variable Q2) of the generator's 4-variable refutation stream, seed 1,
+// whose witness has |hom(Q1,D)| ≥ 100,000. Queries are in decision form.
+struct PowerWitness {
+  cq::ConjunctiveQuery q1{cq::Vocabulary()};
+  cq::ConjunctiveQuery q2{cq::Vocabulary()};
+  cq::Structure d{cq::Vocabulary()};
+};
+
+const PowerWitness& HeavyPowerWitness() {
+  static const PowerWitness witness = [] {
+    cq::WorkloadOptions options;
+    options.seed = 1;
+    options.min_vars = 4;
+    options.max_vars = 4;
+    options.contained_fraction = 0.0;
+    cq::WorkloadGenerator generator(options);
+    api::Engine engine;
+    while (true) {
+      cq::GeneratedPair pair = generator.Next();
+      if (pair.pair.q1.num_vars() != 2 * pair.pair.q2.num_vars()) continue;
+      auto decision = engine.Decide(pair.pair.q1, pair.pair.q2);
+      if (!decision.ok() || !decision->witness.has_value() ||
+          decision->witness->hom_q1 < 100'000) {
+        continue;
+      }
+      PowerWitness out;
+      out.q1 = cq::RemoveDuplicateAtoms(pair.pair.q1);
+      out.q2 = cq::RemoveDuplicateAtoms(pair.pair.q2);
+      if (!out.q1.IsBoolean()) {
+        std::tie(out.q1, out.q2) = cq::MakeBooleanPair(out.q1, out.q2);
+      }
+      out.d = decision->witness->database;
+      return out;
+    }
+  }();
+  return witness;
+}
+
+void BM_PowerWitnessExact(benchmark::State& state) {
+  const PowerWitness& w = HeavyPowerWitness();
+  int64_t homs = 0;
+  for (auto _ : state) {
+    homs = cq::CountHomomorphismsExact(w.q1, w.d).ValueOrDie();
+    benchmark::DoNotOptimize(homs);
+    benchmark::DoNotOptimize(
+        cq::CountHomomorphismsExact(w.q2, w.d).ValueOrDie());
+  }
+  state.counters["homs_q1"] = static_cast<double>(homs);
+  state.counters["tuples"] = static_cast<double>(w.d.TotalTuples());
+}
+BENCHMARK(BM_PowerWitnessExact)->Unit(benchmark::kMillisecond);
 
 // AGM bound computation (exact-cover LP + exact power certificate).
 void BM_AgmBound(benchmark::State& state) {

@@ -73,7 +73,7 @@ int CmdEval(Engine& engine, const std::string& query_text,
   if (count_only) {
     long long backtracking = cq::CountHomomorphisms(*q, *d);
     std::printf("|hom(Q,D)| = %lld", backtracking);
-    if (auto dp = cq::CountHomomorphismsAcyclic(*q, *d)) {
+    if (auto dp = cq::CountHomomorphismsAcyclic(*q, *d); dp.ok()) {
       std::printf("   (join-tree DP agrees: %lld)",
                   static_cast<long long>(*dp));
     }

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "cq/exact_count.h"
 #include "cq/homomorphism.h"
 #include "cq/transforms.h"
 #include "entropy/mobius.h"
@@ -66,8 +67,17 @@ util::Result<Decision> DecideBagContainmentWithContext(
     identity.AddTuple(std::move(t));
     w.database = InduceDatabase(q1, identity);
     w.relation = std::move(identity);
-    w.hom_q1 = cq::CountHomomorphisms(q1, w.database);
-    w.hom_q2 = cq::CountHomomorphisms(q2, w.database);
+    util::Result<int64_t> hom_q1 = cq::CountHomomorphismsExact(q1, w.database);
+    if (!hom_q1.ok()) {
+      // The refutation stands (|hom(Q2, D)| = 0); only |hom(Q1, D)| does not
+      // fit in a verified count, so no witness is attached.
+      decision.method +=
+          " (witness too large to verify: " + hom_q1.status().ToString() + ")";
+      return decision;
+    }
+    w.hom_q1 = *hom_q1;
+    // hom(Q2, D) = hom(Q2, Q1) = ∅, so this count is 0 and cannot overflow.
+    w.hom_q2 = cq::CountHomomorphismsExact(q2, w.database).ValueOrDie();
     w.counts_verified = w.hom_q1 > w.hom_q2;
     BAGCQ_CHECK(w.counts_verified);
     w.symbolic_certificate_holds = true;

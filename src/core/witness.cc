@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "cq/homomorphism.h"
+#include "cq/exact_count.h"
 #include "entropy/mobius.h"
 #include "util/bigint.h"
 #include "util/check.h"
@@ -130,8 +130,11 @@ util::Result<Witness> BuildWitnessFromNormal(
   out.relation = std::move(p);
 
   if (options.verify_counts) {
-    out.hom_q1 = cq::CountHomomorphisms(q1, out.database);
-    out.hom_q2 = cq::CountHomomorphisms(q2, out.database);
+    // An overflowing count is a witness too large to verify.
+    BAGCQ_ASSIGN_OR_RETURN(out.hom_q1,
+                           cq::CountHomomorphismsExact(q1, out.database));
+    BAGCQ_ASSIGN_OR_RETURN(out.hom_q2,
+                           cq::CountHomomorphismsExact(q2, out.database));
     out.counts_verified = out.hom_q1 > out.hom_q2;
     BAGCQ_CHECK(out.hom_q1 >= out.relation.size())
         << "P must embed into hom(Q1, D) (Fact 3.2)";

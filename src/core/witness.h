@@ -6,7 +6,8 @@
 // > log2 |hom(Q2,Q1)| (Lemma 4.8)  →  P = ⊗_W P_W^{levels} (a normal
 // relation, Definition 3.3, realized as a domain product of step relations)
 // →  D = Π_Q1(P) with variable-annotated values (proof of Theorem 4.4)  →
-// verify the counts by brute-force homomorphism counting.
+// verify the counts with cq::CountHomomorphismsExact (join-tree DP for an
+// acyclic query, backtracking for a cyclic one).
 //
 // Two certificates are produced: the *symbolic* one (exact big-integer
 // comparison |P| > Σ_φ 2^{E_φ(h)}, which is how the proof bounds
@@ -28,7 +29,8 @@ namespace bagcq::core {
 struct WitnessOptions {
   /// Refuse to materialize relations/databases beyond this many tuples.
   int64_t max_tuples = 100'000;
-  /// Count homomorphisms to double-check (can be slow on big witnesses).
+  /// Double-check |hom(Q1,D)| > |hom(Q2,D)| by exact counting. A count
+  /// above INT64_MAX makes the build return ResourceExhausted.
   bool verify_counts = true;
 };
 
@@ -53,7 +55,7 @@ struct Witness {
 /// Builds a witness from a violating normal function. `normal_h` must be
 /// normal and must violate the inequality (max branch < 0); both are
 /// CHECK-verified. Returns ResourceExhausted if the scaled witness exceeds
-/// the limits.
+/// the limits or a verified count exceeds INT64_MAX.
 util::Result<Witness> BuildWitnessFromNormal(
     const cq::ConjunctiveQuery& q1, const cq::ConjunctiveQuery& q2,
     const ContainmentInequality& inequality,

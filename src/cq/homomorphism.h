@@ -1,6 +1,11 @@
 // Homomorphism enumeration and counting (Section 2.1): backtracking search
 // with greedy atom ordering. |hom(Q, D)| is the quantity the whole paper is
 // about — bag-set semantics counts homomorphisms (Section 2.2).
+//
+// Backtracking visits every homomorphism, so CountHomomorphisms is the
+// reference oracle the tests check the faster counters against. The
+// library verifies witness counts with cq::CountHomomorphismsExact
+// (cq/exact_count.h) instead.
 #pragma once
 
 #include <cstdint>

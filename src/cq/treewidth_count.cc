@@ -1,8 +1,6 @@
 #include "cq/treewidth_count.h"
 
-#include <algorithm>
-#include <map>
-
+#include "cq/tree_dp.h"
 #include "graph/chordal.h"
 #include "graph/junction_tree.h"
 #include "util/check.h"
@@ -39,8 +37,7 @@ std::optional<int64_t> CountHomomorphismsTreewidth(
   }
 
   // Bag tables: all assignments bag -> adom satisfying the bag's atoms.
-  using Key = std::vector<int>;
-  std::vector<std::map<Key, int64_t>> tables(m);
+  std::vector<internal::BagTable> tables(m);
   for (int t = 0; t < m; ++t) {
     const std::vector<int> bag_vars = tree.bags()[t].Elements();
     // Size guard.
@@ -68,10 +65,10 @@ std::optional<int64_t> CountHomomorphismsTreewidth(
         }
       }
       if (ok) {
-        Key key;
+        std::vector<int> key;
         key.reserve(bag_vars.size());
         for (int v : bag_vars) key.push_back(assignment[v]);
-        tables[t][key] = 1;
+        tables[t][std::move(key)] = 1;
       }
       // Advance.
       size_t pos = 0;
@@ -83,57 +80,7 @@ std::optional<int64_t> CountHomomorphismsTreewidth(
       if (pos == idx.size()) break;
     }
   }
-
-  // Bottom-up message passing (children before parents by depth).
-  std::vector<int> parent = tree.RootedParents();
-  std::vector<int> depth(m, 0);
-  for (int t = 0; t < m; ++t) {
-    int x = t;
-    while (parent[x] >= 0) {
-      ++depth[t];
-      x = parent[x];
-    }
-  }
-  std::vector<int> order(m);
-  for (int t = 0; t < m; ++t) order[t] = t;
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return depth[a] > depth[b]; });
-
-  int64_t total = 1;
-  for (int t : order) {
-    if (parent[t] < 0) {
-      int64_t component = 0;
-      for (const auto& [key, count] : tables[t]) component += count;
-      total *= component;
-      continue;
-    }
-    int p = parent[t];
-    util::VarSet shared = tree.bags()[t].Intersect(tree.bags()[p]);
-    const std::vector<int> bag_vars = tree.bags()[t].Elements();
-    const std::vector<int> parent_vars = tree.bags()[p].Elements();
-    std::map<Key, int64_t> message;
-    for (const auto& [key, count] : tables[t]) {
-      Key proj;
-      for (size_t i = 0; i < bag_vars.size(); ++i) {
-        if (shared.Contains(bag_vars[i])) proj.push_back(key[i]);
-      }
-      message[proj] += count;
-    }
-    for (auto it = tables[p].begin(); it != tables[p].end();) {
-      Key proj;
-      for (size_t i = 0; i < parent_vars.size(); ++i) {
-        if (shared.Contains(parent_vars[i])) proj.push_back(it->first[i]);
-      }
-      auto found = message.find(proj);
-      if (found == message.end()) {
-        it = tables[p].erase(it);
-      } else {
-        it->second *= found->second;
-        ++it;
-      }
-    }
-  }
-  return total;
+  return internal::CountOverForest(tree, std::move(tables));
 }
 
 }  // namespace bagcq::cq

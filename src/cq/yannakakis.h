@@ -1,21 +1,23 @@
 // Join-tree counting for acyclic queries (Yannakakis-style dynamic
 // programming): |hom(Q, D)| in time polynomial in |D| when Q is α-acyclic.
-// Serves as the second, independent homomorphism-counting engine — the
-// backtracking engine and this one cross-validate each other in tests, and
-// bench P3 compares them.
+// It is the counter cq::CountHomomorphismsExact (cq/exact_count.h) uses for
+// acyclic queries, and the backtracking oracle (cq/homomorphism.h) checks
+// it in tests.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "cq/query.h"
 #include "cq/structure.h"
+#include "util/status.h"
 
 namespace bagcq::cq {
 
-/// |hom(Q, D)| via join-tree DP, or nullopt if Q is not α-acyclic.
-std::optional<int64_t> CountHomomorphismsAcyclic(const ConjunctiveQuery& q,
-                                                 const Structure& d);
+/// |hom(Q, D)| via join-tree DP. NotSupported if Q is not α-acyclic;
+/// ResourceExhausted if the count exceeds INT64_MAX (the arithmetic is
+/// checked, so a count never wraps).
+util::Result<int64_t> CountHomomorphismsAcyclic(const ConjunctiveQuery& q,
+                                                const Structure& d);
 
 /// α-acyclicity of the query's atom hypergraph (Definition 2.6).
 bool IsAcyclic(const ConjunctiveQuery& q);

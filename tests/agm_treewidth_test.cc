@@ -47,7 +47,7 @@ TEST(TreewidthCountTest, MatchesYannakakisOnAcyclic) {
   auto tw = CountHomomorphismsTreewidth(q, d);
   auto yk = CountHomomorphismsAcyclic(q, d);
   ASSERT_TRUE(tw.has_value());
-  ASSERT_TRUE(yk.has_value());
+  ASSERT_TRUE(yk.ok());
   EXPECT_EQ(*tw, *yk);
 }
 
